@@ -13,7 +13,9 @@
 use crono_graph::gen::{
     preferential_attachment, rmat, road_network, tsp_cities, uniform_random, RmatParams,
 };
-use crono_graph::CsrGraph;
+use crono_graph::shard::{Partition, ShardedGraph};
+use crono_graph::stream::{build_sharded, mirror, RmatStream, StreamConfig, UniformStream};
+use crono_graph::{view_fingerprint, AdjacencyView, CompressedCsr, CsrGraph, Packable};
 
 /// FNV-1a over the CSR's directed edge stream `(src, dst, weight)`.
 fn fingerprint(g: &CsrGraph) -> u64 {
@@ -36,7 +38,7 @@ fn fingerprint(g: &CsrGraph) -> u64 {
 
 /// Vertex count per degree, indexed by degree (len = max degree + 1).
 fn degree_histogram(g: &CsrGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() as usize + 1];
+    let mut hist = vec![0usize; g.max_degree() + 1];
     for v in 0..g.num_vertices() as u32 {
         hist[g.degree(v)] += 1;
     }
@@ -143,6 +145,100 @@ fn golden_cities_snapshot() {
     assert_eq!(h, GOLDEN_CITIES_FP);
 }
 
+/// FNV-1a over an edge sequence in stream order: pins the order of
+/// the edges as well as the set.
+fn sequence_fingerprint(edges: impl Iterator<Item = (u32, u32, u32)>) -> (u64, u64) {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut count = 0;
+    for (s, d, w) in edges {
+        for v in [s, d, w] {
+            for byte in v.to_le_bytes() {
+                h ^= byte as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        count += 1;
+    }
+    (count, h)
+}
+
+/// Spans several generation blocks, with an unaligned tail.
+fn rmat_stream() -> RmatStream {
+    RmatStream::new(10, 100_003, 8, RmatParams::default(), 42).expect("valid R-MAT")
+}
+
+/// Spans several of the uniform stream's larger blocks.
+fn uniform_stream() -> UniformStream {
+    UniformStream::new(1_000, 600_007, 8, 7).expect("valid uniform stream")
+}
+
+/// Fingerprints of every shard, in shard order, of the mirrored R-MAT
+/// stream built through a sort buffer of `budget` edges, and the
+/// number of runs it spilled.
+fn built<G: Packable + AdjacencyView>(
+    tag: &str,
+    shards: usize,
+    budget: usize,
+) -> (Vec<u64>, usize) {
+    let stream = rmat_stream();
+    let dir = std::env::temp_dir().join(format!("crono-determinism-{}-{tag}", std::process::id()));
+    let cfg = StreamConfig::new(&dir).with_sort_buffer_edges(budget);
+    let partition = Partition::one_d(stream.num_vertices(), shards);
+    let (g, stats): (ShardedGraph<G>, _) =
+        build_sharded(partition, mirror(stream.edges()), &cfg).expect("build succeeds");
+    let _ = std::fs::remove_dir_all(&dir);
+    (
+        g.shards().iter().map(view_fingerprint).collect(),
+        stats.runs_spilled,
+    )
+}
+
+/// [`built`] through a sort buffer small enough to spill many runs.
+fn spilled_build<G: Packable + AdjacencyView>(tag: &str, shards: usize) -> Vec<u64> {
+    let (fingerprints, runs) = built::<G>(tag, shards, 5_000);
+    assert!(runs > shards, "runs: {runs}");
+    fingerprints
+}
+
+#[test]
+fn golden_rmat_stream_snapshot() {
+    assert_eq!(
+        sequence_fingerprint(rmat_stream().edges()),
+        GOLDEN_RMAT_STREAM
+    );
+}
+
+#[test]
+fn golden_uniform_stream_snapshot() {
+    assert_eq!(
+        sequence_fingerprint(uniform_stream().edges()),
+        GOLDEN_UNIFORM_STREAM
+    );
+}
+
+#[test]
+fn golden_spilled_build_snapshot() {
+    assert_eq!(spilled_build::<CsrGraph>("flat", 1), GOLDEN_SPILLED_FLAT);
+    assert_eq!(
+        spilled_build::<CompressedCsr>("compressed", 4),
+        GOLDEN_SPILLED_COMPRESSED
+    );
+}
+
+#[test]
+fn sort_buffer_size_does_not_change_the_graph() {
+    // 150 000 spills a run large enough to sort in parallel parts, then
+    // a small tail run; 1 Mi sorts everything in RAM, in parts.
+    assert_eq!(
+        built::<CsrGraph>("two-runs", 1, 150_000),
+        (GOLDEN_SPILLED_FLAT.to_vec(), 2)
+    );
+    assert_eq!(
+        built::<CsrGraph>("in-ram", 1, 1 << 20),
+        (GOLDEN_SPILLED_FLAT.to_vec(), 0)
+    );
+}
+
 #[test]
 fn print_golden_values_for_refresh() {
     // `cargo test -p crono-graph --test determinism -- --nocapture
@@ -175,6 +271,18 @@ fn print_golden_values_for_refresh() {
     );
     println!("PREF fp={:#018X} hist={:?}", fingerprint(&p), degree_histogram(&p));
     println!("CITIES fp={h:#018X}");
+    let (count, fp) = sequence_fingerprint(rmat_stream().edges());
+    println!("RMAT_STREAM edges={count} fp={fp:#018X}");
+    let (count, fp) = sequence_fingerprint(uniform_stream().edges());
+    println!("UNIFORM_STREAM edges={count} fp={fp:#018X}");
+    println!(
+        "SPILLED_FLAT {:#018X?}",
+        spilled_build::<CsrGraph>("print-flat", 1)
+    );
+    println!(
+        "SPILLED_COMPRESSED {:#018X?}",
+        spilled_build::<CompressedCsr>("print-compressed", 4)
+    );
 }
 
 // ---- Golden values (regenerate with `print_golden_values_for_refresh`) ----
@@ -196,3 +304,12 @@ const GOLDEN_PREF_HIST: &[usize] = &[
     0, 0, 1,
 ];
 const GOLDEN_CITIES_FP: u64 = 0x2862_1765_54F6_60D9;
+const GOLDEN_RMAT_STREAM: (u64, u64) = (99_181, 0xD453_814B_D145_FF1B);
+const GOLDEN_UNIFORM_STREAM: (u64, u64) = (599_406, 0x8A31_FAA8_DF5A_F298);
+const GOLDEN_SPILLED_FLAT: &[u64] = &[0xBFC7_4617_F327_53A1];
+const GOLDEN_SPILLED_COMPRESSED: &[u64] = &[
+    0x045C_2561_AD59_3247,
+    0xE442_C1ED_6BEA_E04A,
+    0xC335_17CB_062E_F647,
+    0xFAAC_CF6F_511F_A03A,
+];

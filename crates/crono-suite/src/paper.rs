@@ -28,6 +28,8 @@ pub fn table4_sparse(bench: Benchmark) -> f64 {
 
 /// Table IV road-network columns `(TX, PN, CA)`; `None` for benchmarks
 /// the paper reports as `-`.
+// DFS's 3.14x TX speedup is the paper's published figure, not pi.
+#[allow(clippy::approx_constant)]
 pub fn table4_roads(bench: Benchmark) -> Option<(f64, f64, f64)> {
     match bench {
         Benchmark::SsspDijk => Some((4.1, 4.31, 4.24)),

@@ -20,6 +20,9 @@ cargo build --release --offline --workspace --bins --benches
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> clippy: crono-graph warning-free"
+cargo clippy --offline -p crono-graph --all-targets -- -D warnings
+
 echo "==> dependency audit: workspace path crates only"
 # Every node in the resolved graph must be a local path crate, which
 # `cargo tree` renders with the crate's absolute path in parentheses.
@@ -254,6 +257,20 @@ echo "==> scale-track determinism"
   --threads 2 --sort-buffer 4096 --quiet --out "$trace_out/scale-b"
 cmp "$scale_tsv" "$trace_out/scale-b/scale.tsv"
 echo "scale determinism OK: two runs byte-identical"
+
+echo "==> R-MAT edge-stream byte-identity gate"
+# The stream is generated in parallel blocks but must come out in draw
+# order, identical at any thread count. 106 496 draws span several
+# blocks with a partial tail; the checksum (POSIX cksum: CRC, bytes)
+# pins the serial generator's edge list.
+./target/release/crono gen --graph rmat --graph-scale 13 --degree 13 \
+  --seed 42 --quiet --out "$trace_out/rmat-s13.txt"
+gen_sum=$(cksum < "$trace_out/rmat-s13.txt")
+if [ "$gen_sum" != "3992844190 1127387" ]; then
+  echo "ERROR: crono gen R-MAT edge list changed (cksum: $gen_sum)" >&2
+  exit 1
+fi
+echo "gen byte-identity OK: R-MAT edge list unchanged"
 
 echo "==> compressed-vs-plain golden-distance gate"
 # BFS distances through the varint-compressed representation must
