@@ -161,7 +161,7 @@ fn pagerank_update(c: &mut Criterion) {
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.measurement_time(std::time::Duration::from_secs(3));
-    for (kernel, ablation) in [("locked", None), ("cas", Some(Ablation::PagerankUpdate))] {
+    for (kernel, ablation) in [("locked", None), ("pull", Some(Ablation::PagerankUpdate))] {
         g.bench_function(kernel, |b| {
             b.iter(|| {
                 run_parallel_ablated(

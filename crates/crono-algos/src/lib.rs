@@ -179,13 +179,20 @@ impl std::fmt::Display for Benchmark {
 /// characterize the optimization the way the paper characterizes
 /// everything else. Benchmarks an ablation does not apply to run their
 /// default kernel unchanged.
+///
+/// A variant stays only while no other kernel for the same benchmark
+/// beats it on both backends (deterministic simulator and native): the
+/// bitmap BFS and SSSP lose in the simulator from 16 cores up but win
+/// natively at 16 threads, so they stay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Ablation {
-    /// Word-packed `SharedBitmap` frontiers (GAP-style) for the BFS,
-    /// SSSP, and connected-components scans instead of byte arrays.
+    /// Word-packed `SharedBitmap` frontiers (GAP-style) for the BFS and
+    /// SSSP scans instead of byte arrays.
     FrontierRepr,
-    /// Lock-free CAS-loop rank accumulation for PageRank instead of
-    /// striped per-vertex locks.
+    /// Lock-free pull-mode PageRank over the transpose (each vertex
+    /// gathers its in-neighbors' contributions into a private sum)
+    /// instead of push-mode accumulation under striped per-vertex locks.
+    /// Bitwise-deterministic at every thread count.
     PagerankUpdate,
     /// Work-stealing task distribution (Chase–Lev per-thread deques,
     /// seeded victim order) for the task-parallel kernels instead of a
@@ -255,9 +262,7 @@ impl Ablation {
     /// The benchmarks whose kernel this ablation replaces.
     pub fn benchmarks(self) -> &'static [Benchmark] {
         match self {
-            Ablation::FrontierRepr => {
-                &[Benchmark::Bfs, Benchmark::SsspDijk, Benchmark::ConnComp]
-            }
+            Ablation::FrontierRepr => &[Benchmark::Bfs, Benchmark::SsspDijk],
             Ablation::PagerankUpdate => &[Benchmark::PageRank],
             Ablation::TaskSteal => {
                 &[Benchmark::Apsp, Benchmark::BetwCent, Benchmark::Dfs]

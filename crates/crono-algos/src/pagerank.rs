@@ -97,80 +97,8 @@ pub fn parallel<M: Machine>(
     }
 }
 
-/// Parallel PageRank with lock-free CAS accumulation — the
-/// `pagerank_update` ablation (PR 3).
-///
-/// Identical to [`parallel`] except the striped-lock critical section
-/// around each neighbor accumulator is replaced by a single
-/// [`SharedF64s::fetch_add`] CAS loop (the GARDENIA-style atomic
-/// update). Floating-point addition order may differ from the locked
-/// version, so ranks match the reference to tolerance, not bitwise.
-///
-/// # Panics
-///
-/// Panics if `iterations == 0`.
-pub fn parallel_cas<M: Machine>(
-    machine: &M,
-    graph: &CsrGraph,
-    iterations: u32,
-) -> AlgoOutcome<PageRankOutput> {
-    assert!(iterations > 0, "need at least one iteration");
-    let n = graph.num_vertices();
-    let shared = SharedGraph::new(graph);
-    let ranks = SharedF64s::filled(n, 1.0 / n as f64);
-    let sums = SharedF64s::filled(n, 0.0);
-
-    let outcome = machine.run(|ctx| {
-        let tid = ctx.thread_id();
-        let nthreads = ctx.num_threads();
-        for _ in 0..iterations {
-            if ctx.cancelled() {
-                break;
-            }
-            ctx.span_begin("pagerank:iter");
-            let mut active = 0u64;
-            for v in chunk(n, tid, nthreads) {
-                let r = shared.edge_range(ctx, v as VertexId);
-                let degree = r.len();
-                if degree == 0 {
-                    continue;
-                }
-                active += 1;
-                ctx.compute(costs::RANK_UPDATE);
-                let contribution = ranks.get(ctx, v) / degree as f64;
-                for e in r {
-                    let u = shared.neighbor(ctx, e) as usize;
-                    ctx.compute(costs::RANK_UPDATE);
-                    // One CAS-loop RMW instead of lock / load / store /
-                    // unlock: no convoy on shared high-degree neighbors.
-                    sums.fetch_add(ctx, u, contribution);
-                }
-            }
-            if active > 0 {
-                ctx.record_active(active);
-            }
-            ctx.barrier();
-            for v in chunk(n, tid, nthreads) {
-                ctx.compute(costs::RANK_UPDATE);
-                let s = sums.get(ctx, v);
-                ranks.set(ctx, v, DAMPING_R + (1.0 - DAMPING_R) * s);
-                sums.set(ctx, v, 0.0);
-            }
-            ctx.barrier();
-            ctx.span_end("pagerank:iter");
-        }
-    });
-    AlgoOutcome {
-        output: PageRankOutput {
-            ranks: ranks.to_vec(),
-            iterations,
-        },
-        report: outcome.report,
-    }
-}
-
 /// Parallel PageRank in *pull* mode over the transpose — the serving
-/// engine's snapshot builder (PR 10).
+/// engine's snapshot builder (PR 10) and the `pagerank_update` ablation.
 ///
 /// Each thread owns a static chunk of vertices and gathers
 /// `PR(v)/degree(v)` from its in-neighbors into a private accumulator:
@@ -331,16 +259,6 @@ mod tests {
         let g = uniform_random(128, 512, 4, 3);
         let out = parallel(&NativeMachine::new(4), &g, 10);
         assert_close(&out.output.ranks, &reference(&g, 10));
-    }
-
-    #[test]
-    fn cas_variant_matches_reference() {
-        let g = uniform_random(128, 512, 4, 3);
-        let oracle = reference(&g, 10);
-        for threads in [1, 2, 4, 8] {
-            let out = parallel_cas(&NativeMachine::new(threads), &g, 10);
-            assert_close(&out.output.ranks, &oracle);
-        }
     }
 
     #[test]

@@ -229,6 +229,16 @@ fn drain_pool<C: ThreadCtx>(ctx: &mut C, pool: &TaskPool, mut body: impl FnMut(&
     }
 }
 
+/// Candidate buffers indexed `[source shard][destination block]`: a
+/// shard's scan appends to them and the block's claim drains them.
+type Lanes<T> = Vec<Vec<Mutex<Vec<T>>>>;
+
+fn new_lanes<T>(s_count: usize, b_count: usize) -> Lanes<T> {
+    (0..s_count)
+        .map(|_| (0..b_count).map(|_| Mutex::new(Vec::new())).collect())
+        .collect()
+}
+
 /// Per-deque capacity so every task of a phase fits without overflow.
 fn pool_capacity(tasks: usize, threads: usize) -> usize {
     tasks.div_ceil(threads.max(1)).max(4)
@@ -266,9 +276,7 @@ pub fn sharded_bfs<M: Machine, G: AdjacencyView + Sync>(
             })
         })
         .collect();
-    let lanes: Vec<Vec<Mutex<Vec<VertexId>>>> = (0..s_count)
-        .map(|_| (0..b_count).map(|_| Mutex::new(Vec::new())).collect())
-        .collect();
+    let lanes: Lanes<VertexId> = new_lanes(s_count, b_count);
     let scan_cycles = SharedU64s::new(s_count);
     let scan_edges = SharedU64s::new(s_count);
     let claim_cycles = SharedU64s::new(b_count);
@@ -398,9 +406,7 @@ pub fn sharded_sssp<M: Machine, G: AdjacencyView + Sync>(
             })
         })
         .collect();
-    let lanes: Vec<Vec<Mutex<Vec<(VertexId, u32)>>>> = (0..s_count)
-        .map(|_| (0..b_count).map(|_| Mutex::new(Vec::new())).collect())
-        .collect();
+    let lanes: Lanes<(VertexId, u32)> = new_lanes(s_count, b_count);
     let scan_cycles = SharedU64s::new(s_count);
     let scan_edges = SharedU64s::new(s_count);
     let claim_cycles = SharedU64s::new(b_count);
@@ -653,7 +659,7 @@ mod tests {
                 ShardedGraph::<CsrGraph>::from_csr(&g, Partition::one_d(n, blocks)).unwrap();
             let out = sharded_bfs(&machine, &sharded, 0);
             assert_eq!(out.output, reference, "1-D blocks={blocks}");
-            assert_eq!(out.total_edges() > 0, true);
+            assert!(out.total_edges() > 0);
         }
         let sharded = ShardedGraph::<CsrGraph>::from_csr(&g, Partition::two_d(n, 3)).unwrap();
         assert_eq!(sharded_bfs(&machine, &sharded, 0).output, reference, "2-D");

@@ -407,11 +407,7 @@ pub fn pick_delta(graph: &CsrGraph) -> u32 {
             count += 1;
         }
     }
-    if count == 0 {
-        1
-    } else {
-        ((total / count) as u32).max(1)
-    }
+    total.checked_div(count).map_or(1, |mean| (mean as u32).max(1))
 }
 
 /// Splits `graph` into its light (`w <= delta`) and heavy (`w > delta`)
@@ -550,10 +546,12 @@ pub fn parallel_delta<M: Machine>(
             // Heavy phase: everything this bucket settled relaxes its
             // heavy edges exactly once (`w > delta` forces the target
             // past the bucket boundary, so successes park in `pend`).
-            // The frontier is fully drained, so tid 0 reclaims it.
+            // The frontier is drained but not reclaimed yet: a thread
+            // may still be reading `cur.window` after the empty-window
+            // break, and a reset racing its two loads could hand it a
+            // torn, non-empty window.
             if tid == 0 {
                 settled.slide(ctx);
-                cur.reset(ctx);
             }
             ctx.barrier();
             let sw = settled.window(ctx);
@@ -589,7 +587,10 @@ pub fn parallel_delta<M: Machine>(
             // Redistribution: vote on the next non-empty bucket, then
             // move live pending entries to the frontier or the other
             // pending queue. Settled entries are stale and dropped.
+            // Every thread has passed two barriers since its last
+            // `cur.window`, so tid 0 can now reclaim the frontier.
             if tid == 0 {
+                cur.reset(ctx);
                 pend[a].slide(ctx);
                 next_min.set(ctx, 0, u64::MAX);
             }
@@ -1057,6 +1058,38 @@ mod tests {
         let out = parallel_delta(&NativeMachine::new(4), &g, 0);
         assert_eq!(out.output.dist, reference(&g, 0));
         assert!(out.output.rounds >= 2, "got {} buckets", out.output.rounds);
+    }
+
+    /// Regression: tid 0 used to reset the frontier right after the
+    /// light loop's empty-window break, while another thread could still
+    /// be inside `cur.window`'s two loads. A torn, non-empty window sent
+    /// that thread into another light iteration, the barriers paired
+    /// wrongly, and the run deadlocked. The runs happen on a worker
+    /// thread so a hang fails the test instead of stalling the suite.
+    #[test]
+    fn delta_stepping_repeated_runs_never_hang() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        const RUNS: usize = 300;
+        let g = road_network(12, 12, 16, 0.1, 0.02, 7);
+        let oracle = reference(&g, 0);
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            for run in 0..RUNS {
+                let threads = if run % 2 == 0 { 4 } else { 16 };
+                let out = parallel_delta(&NativeMachine::new(threads), &g, 0);
+                let ok = out.output.dist == oracle;
+                if tx.send(ok).is_err() {
+                    return;
+                }
+            }
+        });
+        for run in 0..RUNS {
+            match rx.recv_timeout(Duration::from_secs(30)) {
+                Ok(ok) => assert!(ok, "run {run}: distances differ from the oracle"),
+                Err(e) => panic!("run {run} of {RUNS} did not finish: {e}"),
+            }
+        }
     }
 
     #[test]

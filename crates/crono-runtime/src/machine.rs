@@ -24,10 +24,11 @@ pub struct RunOptions {
     pub timeout: Option<Duration>,
 }
 
-/// Why a fallible run failed. Both variants carry the (partial)
-/// [`RunReport`]: every worker — including a panicked one, up to its
-/// panic point — still contributes its thread report, so the caller can
-/// inspect what the surviving threads did.
+/// Why a fallible run failed. Every variant carries the (partial)
+/// [`RunReport`], boxed so the `Err` side stays small: every worker —
+/// including a panicked one, up to its panic point — still contributes
+/// its thread report, so the caller can inspect what the surviving
+/// threads did.
 #[derive(Debug)]
 pub enum RunError {
     /// A worker panicked. The panic was contained: the process did not
@@ -39,14 +40,14 @@ pub enum RunError {
         /// The panic message, when it was a string payload.
         payload: String,
         /// Partial report covering every worker.
-        report: RunReport,
+        report: Box<RunReport>,
     },
     /// The [`RunOptions::timeout`] watchdog cancelled the run.
     TimedOut {
         /// The configured timeout that expired.
         timeout: Duration,
         /// Partial report covering every worker.
-        report: RunReport,
+        report: Box<RunReport>,
     },
     /// The backend's interconnect had no legal route for a message — a
     /// permanent dead-link fault the active routing policy cannot avoid
@@ -58,7 +59,7 @@ pub enum RunError {
         /// The backend's route-error description.
         detail: String,
         /// Partial report covering every worker.
-        report: RunReport,
+        report: Box<RunReport>,
     },
 }
 

@@ -156,12 +156,16 @@ impl Machine for NativeMachine {
             faults: Default::default(),
         };
         if let Some((tid, payload)) = first_panic {
-            return Err(RunError::WorkerPanicked { tid, payload, report });
+            return Err(RunError::WorkerPanicked {
+                tid,
+                payload,
+                report: Box::new(report),
+            });
         }
         if gate.cause() == Some(CancelCause::Timeout) {
             return Err(RunError::TimedOut {
                 timeout: opts.timeout.unwrap_or_default(),
-                report,
+                report: Box::new(report),
             });
         }
         Ok(RunOutcome { per_thread, report })
@@ -181,9 +185,14 @@ pub struct NativeCtx {
 }
 
 impl NativeCtx {
+    /// The tracer and the current trace timestamp, when tracing; the
+    /// clock is read only then.
     #[inline]
-    fn now(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
+    fn traced(&mut self) -> Option<(&mut ThreadTracer, u64)> {
+        let start = self.start;
+        self.tracer
+            .as_mut()
+            .map(|tr| (tr, start.elapsed().as_nanos() as u64))
     }
 
     /// Spin-acquire with a cancellation check: a cancelled run may never
@@ -200,7 +209,7 @@ impl NativeCtx {
                 return;
             }
             spins = spins.wrapping_add(1);
-            if spins % 64 == 0 {
+            if spins.is_multiple_of(64) {
                 std::thread::yield_now();
             } else {
                 std::hint::spin_loop();
@@ -243,14 +252,10 @@ impl ThreadCtx for NativeCtx {
     #[inline]
     fn lock(&mut self, set: &LockSet, idx: usize) {
         self.instructions += 1;
-        if self.tracer.is_some() {
-            let t0 = self.now();
-            self.acquire_or_drain(set, idx);
-            let dur = self.now().saturating_sub(t0);
-            let tr = self.tracer.as_mut().expect("checked above");
-            tr.complete("sync", "lock_wait", t0, dur);
-        } else {
-            self.acquire_or_drain(set, idx);
+        let t0 = self.traced().map(|(_, ts)| ts);
+        self.acquire_or_drain(set, idx);
+        if let (Some(t0), Some((tr, t1))) = (t0, self.traced()) {
+            tr.complete("sync", "lock_wait", t0, t1.saturating_sub(t0));
         }
     }
 
@@ -262,14 +267,10 @@ impl ThreadCtx for NativeCtx {
 
     fn barrier(&mut self) {
         self.instructions += 1;
-        if self.tracer.is_some() {
-            let t0 = self.now();
-            self.gate.barrier_wait();
-            let dur = self.now().saturating_sub(t0);
-            let tr = self.tracer.as_mut().expect("checked above");
-            tr.complete("sync", "barrier_wait", t0, dur);
-        } else {
-            self.gate.barrier_wait();
+        let t0 = self.traced().map(|(_, ts)| ts);
+        self.gate.barrier_wait();
+        if let (Some(t0), Some((tr, t1))) = (t0, self.traced()) {
+            tr.complete("sync", "barrier_wait", t0, t1.saturating_sub(t0));
         }
     }
 
@@ -285,28 +286,22 @@ impl ThreadCtx for NativeCtx {
 
     #[inline]
     fn span_begin(&mut self, name: &'static str) {
-        if self.tracer.is_some() {
-            let ts = self.now();
-            self.tracer.as_mut().expect("checked above").begin("algo", name, ts);
+        if let Some((tr, ts)) = self.traced() {
+            tr.begin("algo", name, ts);
         }
     }
 
     #[inline]
     fn span_end(&mut self, name: &'static str) {
-        if self.tracer.is_some() {
-            let ts = self.now();
-            self.tracer.as_mut().expect("checked above").end("algo", name, ts);
+        if let Some((tr, ts)) = self.traced() {
+            tr.end("algo", name, ts);
         }
     }
 
     #[inline]
     fn trace_instant(&mut self, name: &'static str, value: u64) {
-        if self.tracer.is_some() {
-            let ts = self.now();
-            self.tracer
-                .as_mut()
-                .expect("checked above")
-                .instant("algo", name, ts, value);
+        if let Some((tr, ts)) = self.traced() {
+            tr.instant("algo", name, ts, value);
         }
     }
 

@@ -926,8 +926,8 @@ mod tests {
             })
             .collect();
         NativeMachine::new(1).run(|ctx| {
-            for i in 0..n {
-                if pattern[i] {
+            for (i, &on) in pattern.iter().enumerate() {
+                if on {
                     flags.set(ctx, i, true);
                     bitmap.set(ctx, i);
                 }

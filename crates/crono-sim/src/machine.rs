@@ -286,15 +286,23 @@ impl Machine for SimMachine {
         // An unroutable message also unwinds its worker, so check the
         // typed route error before the generic panic mapping.
         if let Some((tid, detail)) = shared.unroutable.lock().take() {
-            return Err(RunError::Unroutable { tid, detail, report });
+            return Err(RunError::Unroutable {
+                tid,
+                detail,
+                report: Box::new(report),
+            });
         }
         if let Some((tid, payload)) = first_panic {
-            return Err(RunError::WorkerPanicked { tid, payload, report });
+            return Err(RunError::WorkerPanicked {
+                tid,
+                payload,
+                report: Box::new(report),
+            });
         }
         if shared.gate.cause() == Some(CancelCause::Timeout) {
             return Err(RunError::TimedOut {
                 timeout: opts.timeout.unwrap_or_default(),
-                report,
+                report: Box::new(report),
             });
         }
         Ok(RunOutcome { per_thread, report })
@@ -1149,7 +1157,7 @@ impl ThreadCtx for SimCtx {
                     break;
                 }
                 spins = spins.wrapping_add(1);
-                if spins % 64 == 0 {
+                if spins.is_multiple_of(64) {
                     std::thread::yield_now();
                 } else {
                     std::hint::spin_loop();

@@ -8,6 +8,12 @@
 //! characterizes everything else (the figures themselves always use the
 //! defaults). [`generate_native`] produces the same comparison on the
 //! real-machine backend (wall-clock + MTEPS, fig9-style).
+//!
+//! Every simulated cell is one run under the deterministic sequencer.
+//! Most variants' timing is schedule-sensitive (stealing order, bound
+//! arrival, frontier claim order, CAS races), so only a sequenced
+//! schedule makes a cell repeatable: two `crono ablation` processes
+//! write byte-identical tables, and one run per cell is enough.
 
 use crate::checkpoint::Checkpoint;
 use crate::report::{f2, Table};
@@ -15,7 +21,7 @@ use crate::runner::{run_parallel, run_parallel_ablated};
 use crate::scale::Scale;
 use crate::workload::Workload;
 use crono_algos::{Ablation, Benchmark};
-use crono_graph::gen::{rmat, road_network, RmatParams};
+use crono_graph::gen::{rmat, RmatParams};
 use crono_runtime::NativeMachine;
 use crono_sim::{SimConfig, SimMachine};
 
@@ -24,27 +30,6 @@ use crono_sim::{SimConfig, SimMachine};
 /// scale preset, because the optimized kernels matter most at high core
 /// counts where frontier scans and rank-lock contention dominate.
 pub const CORE_SWEEP: [usize; 5] = [1, 4, 16, 64, 256];
-
-/// Whether `ablation`'s table cells run under the deterministic
-/// sequencer. The PR-5 task-parallel groups do — their kernels'
-/// *timing* is schedule-sensitive (stealing order, bound arrival), so
-/// determinism is what makes two `crono ablation` invocations
-/// byte-identical, per-cell repeats redundant, and the CI `cmp` gate
-/// possible. The GAP-class kernels (direction-optimizing BFS,
-/// delta-stepping, Afforest) are likewise schedule-sensitive — frontier
-/// claim order, bucket membership, and CAS hook races all move work
-/// between threads — so they run deterministic too. The PR-3 groups
-/// keep the cheaper lax mode + median-of-3.
-fn deterministic_group(ablation: Ablation) -> bool {
-    matches!(
-        ablation,
-        Ablation::TaskSteal
-            | Ablation::LockfreeBound
-            | Ablation::DiropBfs
-            | Ablation::DeltaSssp
-            | Ablation::AfforestCc
-    )
-}
 
 /// One table: per (ablation, benchmark), completion cycles of the
 /// default and optimized kernels at each swept core count, plus the
@@ -77,40 +62,13 @@ pub fn generate_resumable(
         h
     });
     let w = Workload::synthetic(scale);
-    // The active-set CONN_COMP kernel targets long convergence tails, so
-    // it is additionally compared on a high-diameter road-network grid
-    // (label propagation there runs for ~diameter iterations with a
-    // shrinking wavefront — the case the bitmap exists for).
-    let road = {
-        let (rows, cols) = road_grid_dims(scale.sparse_vertices);
-        let mut road_w = Workload::synthetic(scale);
-        road_w.graph = road_network(rows, cols, 64, 0.05, 0.0, 11);
-        road_w
-    };
-    // Untraced (lax-mode) runs are nondeterministic, so each lax cell is
-    // the median of three runs; deterministic groups are byte-identical
-    // across repeats, so one run IS the median of any odd count.
-    const REPS: usize = 3;
-    let median = |mut xs: Vec<u64>| {
-        xs.sort_unstable();
-        xs[xs.len() / 2]
-    };
     let mut emit = |ablation: Ablation, bench: Benchmark, bench_label: String, w: &Workload| {
-        let deterministic = deterministic_group(ablation);
-        let reps = if deterministic { 1 } else { REPS };
-        let machine = |t: usize| {
-            let m = SimMachine::new(config.clone(), t);
-            if deterministic {
-                m.deterministic()
-            } else {
-                m
-            }
-        };
+        let machine = |t: usize| SimMachine::new(config.clone(), t).deterministic();
         let mut default_row = Vec::new();
         let mut optimized_row = Vec::new();
         for &t in &threads {
             // Keyed on the *built* graph's vertex count, not the scale's
-            // nominal one — the road grid covers >= sparse_vertices.
+            // nominal one — the R-MAT graph rounds up to a power of two.
             let key = format!(
                 "ablation|{}|{bench_label}|v{}|c{}|t{t}",
                 ablation.name(),
@@ -134,18 +92,8 @@ pub fn generate_resumable(
             if progress {
                 eprintln!("[ablation] {ablation}/{bench_label}: {t} threads");
             }
-            let base = median(
-                (0..reps)
-                    .map(|_| run_parallel(bench, &machine(t), w).completion)
-                    .collect(),
-            );
-            let opt = median(
-                (0..reps)
-                    .map(|_| {
-                        run_parallel_ablated(bench, &machine(t), w, Some(ablation)).completion
-                    })
-                    .collect(),
-            );
+            let base = run_parallel(bench, &machine(t), w).completion;
+            let opt = run_parallel_ablated(bench, &machine(t), w, Some(ablation)).completion;
             if let Some(c) = ckpt.as_deref_mut() {
                 if let Err(e) = c.record(&key, &format!("{base} {opt}")) {
                     eprintln!(
@@ -183,14 +131,6 @@ pub fn generate_resumable(
             emit(ablation, bench, bench.label().to_string(), &w);
         }
     }
-    if filter.is_none() || filter == Some(Ablation::FrontierRepr) {
-        emit(
-            Ablation::FrontierRepr,
-            Benchmark::ConnComp,
-            format!("{}/road", Benchmark::ConnComp.label()),
-            &road,
-        );
-    }
     // Direction-optimizing BFS targets low-diameter skewed graphs, where
     // pull levels stop hammering shared frontier lines — the synthetic
     // uniform workload above undersells it, so it is additionally
@@ -206,9 +146,8 @@ pub fn generate_resumable(
         };
         let bench_label = format!("{}/rmat", Benchmark::Bfs.label());
         emit(Ablation::DiropBfs, Benchmark::Bfs, bench_label.clone(), &rmat_w);
-        // Counter comparison: one deterministic run per cell (the same
-        // run would already be byte-identical under the sequencer, so
-        // repeats are redundant here too).
+        // Counter comparison: one deterministic run per cell, like the
+        // completion rows.
         let mut cells: Vec<[u64; 4]> = Vec::new();
         for &t in &threads {
             let key = format!(
@@ -269,21 +208,6 @@ pub fn generate_resumable(
         counter_row("reduction:noc_flits", &|c| ratio(c[2], c[3]));
     }
     table
-}
-
-/// Grid dimensions for the road-network comparison input: the smallest
-/// near-square grid covering **at least** `vertices` vertices.
-///
-/// The old `cols = vertices / rows` floor silently dropped up to
-/// `rows - 1` vertices whenever `vertices` was not a perfect square, so
-/// the road row ran on a smaller graph than its label claimed (and any
-/// per-vertex throughput denominator derived from the scale was wrong).
-/// `div_ceil` rounds the other way: `rows * cols >= vertices`, and
-/// reported counts are always derived from the *built* graph.
-pub fn road_grid_dims(vertices: usize) -> (usize, usize) {
-    let rows = (vertices as f64).sqrt() as usize;
-    let rows = rows.max(2);
-    (rows, vertices.div_ceil(rows).max(2))
 }
 
 /// Elements "traversed" by one parallel run of `bench`, for MTEPS
@@ -435,10 +359,10 @@ mod tests {
         let scale = Scale::test();
         let config = SimConfig::tiny(16);
         let t = generate(&scale, &config, false);
-        // 11 ablated benchmarks + the road-network CONN_COMP and R-MAT
-        // BFS comparisons, 3 rows each (default / optimized / speedup),
-        // plus 6 counter rows for the direction-optimizing BFS group.
-        assert_eq!(t.rows.len(), 45);
+        // 10 ablated benchmarks + the R-MAT BFS comparison, 3 rows each
+        // (default / optimized / speedup), plus 6 counter rows for the
+        // direction-optimizing BFS group.
+        assert_eq!(t.rows.len(), 39);
         // tiny(16) caps the canonical sweep at [1, 4, 16].
         let swept = CORE_SWEEP.iter().filter(|&&t| t <= 16).count();
         for row in &t.rows {
@@ -446,29 +370,6 @@ mod tests {
         }
         let stem = t.file_stem();
         assert_eq!(stem, "ablation_kernels");
-    }
-
-    /// Regression: `cols = v / rows` dropped up to `rows - 1` vertices
-    /// for non-square vertex counts (512 -> 22x23 = 506, 6 dropped).
-    #[test]
-    fn road_grid_covers_every_vertex() {
-        for v in [512usize, 1000, 16_384, 1_048_576, 5, 7, 101] {
-            let (rows, cols) = road_grid_dims(v);
-            assert!(
-                rows * cols >= v,
-                "grid {rows}x{cols} drops {} of {v} vertices",
-                v - rows * cols
-            );
-            // Still near-square: never more than one extra column's worth.
-            assert!(rows * cols < v + rows + cols, "grid {rows}x{cols} overshoots {v}");
-        }
-        // Perfect squares stay exact.
-        assert_eq!(road_grid_dims(256), (16, 16));
-        // The test scale's 512 vertices previously built a 506-vertex
-        // graph; the built graph must now cover all 512.
-        let (rows, cols) = road_grid_dims(Scale::test().sparse_vertices);
-        let g = road_network(rows, cols, 64, 0.05, 0.0, 11);
-        assert!(g.num_vertices() >= Scale::test().sparse_vertices);
     }
 
     #[test]
@@ -515,14 +416,14 @@ mod tests {
     /// Determinism must hold across *processes* (that is how `crono
     /// ablation` is invoked): symbolic addresses come from a
     /// process-global bump allocator, so a second in-process run sees
-    /// shifted lines and legitimately different home slices. The test
-    /// re-executes itself in child mode twice and compares the TSVs.
-    #[test]
-    fn deterministic_groups_are_byte_identical_across_processes() {
-        let scale = Scale::test();
-        let config = SimConfig::tiny(16);
-        if std::env::var_os("CRONO_ABLATION_DET_CHILD").is_some() {
-            let t = generate_resumable(&scale, &config, Some(Ablation::LockfreeBound), false, None);
+    /// shifted lines and legitimately different home slices. The calling
+    /// test (named `test`) re-executes itself in child mode twice; each
+    /// child prints `group`'s table, and the two outputs must match.
+    fn assert_group_repeats_across_processes(test: &str, group: Ablation) {
+        const CHILD_ENV: &str = "CRONO_ABLATION_DET_CHILD";
+        if std::env::var_os(CHILD_ENV).is_some() {
+            let config = SimConfig::tiny(16);
+            let t = generate_resumable(&Scale::test(), &config, Some(group), false, None);
             for line in t.to_tsv().lines() {
                 println!("ROW {line}");
             }
@@ -533,11 +434,11 @@ mod tests {
             let out = std::process::Command::new(&exe)
                 .args([
                     "--exact",
-                    "experiments::ablation::tests::deterministic_groups_are_byte_identical_across_processes",
+                    &format!("experiments::ablation::tests::{test}"),
                     "--nocapture",
                     "--test-threads=1",
                 ])
-                .env("CRONO_ABLATION_DET_CHILD", "1")
+                .env(CHILD_ENV, "1")
                 .output()
                 .expect("spawn child test process");
             assert!(out.status.success(), "child failed: {out:?}");
@@ -546,7 +447,25 @@ mod tests {
             assert!(!rows.is_empty(), "child produced no table rows");
             rows.join("\n")
         };
-        assert_eq!(child(), child(), "lockfree_bound cells byte-identical");
+        assert_eq!(child(), child(), "{group} cells byte-identical");
+    }
+
+    #[test]
+    fn deterministic_groups_are_byte_identical_across_processes() {
+        assert_group_repeats_across_processes(
+            "deterministic_groups_are_byte_identical_across_processes",
+            Ablation::LockfreeBound,
+        );
+    }
+
+    /// Regression: the PageRank group ran lax and reported a median of
+    /// three runs, which moved by more than 2x between invocations.
+    #[test]
+    fn pagerank_group_is_byte_identical_across_processes() {
+        assert_group_repeats_across_processes(
+            "pagerank_group_is_byte_identical_across_processes",
+            Ablation::PagerankUpdate,
+        );
     }
 
     #[test]
